@@ -33,8 +33,8 @@ with the invariant checker on.
 ``scenarios`` runs the named-scenario library (DESIGN.md §13): each
 scenario is a versioned JSON document bundling an app, its parameters,
 the machine shape, and a phase-scripted fault plan; ``scenarios run``
-sweeps it across protocols and persists a summary artifact in the
-result store.
+sweeps it across protocols with the invariant checker on and persists a
+summary artifact in the result store.
 
 ``trace`` runs one simulation with the protocol event tracer and the
 coherence-invariant checker enabled; on a violation it prints the event
@@ -548,15 +548,13 @@ def _cmd_scenarios(args) -> int:
             journal = _campaign_journal(
                 store.root, "scenario",
                 {"scenario": sc.name, "protocols": list(args.protocols),
-                 "procs": args.procs,
-                 "check_invariants": bool(args.check_invariants)},
+                 "procs": args.procs},
                 args.resume,
             )
         summary = run_scenario(
             sc,
             protocols=args.protocols or None,
             n_procs=args.procs,
-            check_invariants=args.check_invariants,
             store=store,
             progress=say,
             journal=journal,
@@ -844,9 +842,6 @@ def main(argv=None) -> int:
     p_sc_run.add_argument(
         "--procs", type=int, default=None,
         help="override the scenario's machine size (CI smokes use this)",
-    )
-    p_sc_run.add_argument(
-        "--check-invariants", action="store_true", help=check_help
     )
     p_sc_run.add_argument(
         "--store-dir", default=DEFAULT_ROOT,

@@ -32,6 +32,7 @@ class Cache:
         "evictions",
         "coherence_invalidations",
         "tracer",
+        "dirty",
     )
 
     def __init__(self, config: SystemConfig, node_id: int = 0) -> None:
@@ -51,6 +52,9 @@ class Cache:
         self.evictions = 0
         self.coherence_invalidations = 0
         self.tracer = None  # set by Machine when event tracing is on
+        # The invariant checker's (node, block) residency set, marked on
+        # every residency change (set by Machine under tardis checking).
+        self.dirty = None
 
     # -- queries ---------------------------------------------------------------
 
@@ -98,6 +102,10 @@ class Cache:
                 "cache_install", self.node_id, block=block, state=state,
                 victim=victim[0] if victim else None,
             )
+        if self.dirty is not None:
+            self.dirty.add((self.node_id, block))
+            if victim is not None:
+                self.dirty.add((self.node_id, old))
         return victim
 
     def upgrade(self, block: int) -> None:
@@ -122,6 +130,8 @@ class Cache:
             self.coherence_invalidations += 1
             if self.tracer is not None:
                 self.tracer.emit("cache_inval", self.node_id, block=block)
+            if self.dirty is not None:
+                self.dirty.add((self.node_id, block))
             return True
         return False
 

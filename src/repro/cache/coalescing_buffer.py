@@ -22,7 +22,7 @@ class CoalescingBuffer:
     """Fully-associative, FIFO-replacement coalescing buffer."""
 
     __slots__ = ("capacity", "order", "words", "merges", "inserted", "flushes",
-                 "tracer", "owner")
+                 "tracer", "owner", "dirty")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -34,7 +34,8 @@ class CoalescingBuffer:
         self.inserted = 0
         self.flushes = 0
         self.tracer = None   # set by Machine when event tracing is on
-        self.owner = -1      # owning node id (tracing only)
+        self.owner = -1      # owning node id (tracing and checking)
+        self.dirty = None    # the invariant checker's dirty-node set
 
     def __len__(self) -> int:
         return len(self.order)
@@ -71,6 +72,8 @@ class CoalescingBuffer:
                 "cbuf_add", self.owner, block=block,
                 victim=victim[0] if victim else None, depth=len(self.order),
             )
+        if self.dirty is not None:
+            self.dirty.add(self.owner)
         return victim
 
     def remove(self, block: int) -> Optional[Set[int]]:
@@ -81,6 +84,8 @@ class CoalescingBuffer:
             self.flushes += 1
             if self.tracer is not None:
                 self.tracer.emit("cbuf_remove", self.owner, block=block)
+            if self.dirty is not None:
+                self.dirty.add(self.owner)
         return ws
 
     def drain(self) -> List[Tuple[int, Set[int]]]:
@@ -91,4 +96,6 @@ class CoalescingBuffer:
         self.words.clear()
         if self.tracer is not None and out:
             self.tracer.emit("cbuf_drain", self.owner, blocks=[b for b, _ in out])
+        if self.dirty is not None and out:
+            self.dirty.add(self.owner)
         return out

@@ -20,7 +20,8 @@ from typing import Deque, Dict, Optional, Set
 class WriteBuffer:
     """FIFO, line-coalescing write buffer."""
 
-    __slots__ = ("capacity", "order", "words", "coalesced", "inserted", "tracer", "owner")
+    __slots__ = ("capacity", "order", "words", "coalesced", "inserted", "tracer",
+                 "owner", "dirty")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -31,7 +32,8 @@ class WriteBuffer:
         self.coalesced = 0
         self.inserted = 0
         self.tracer = None   # set by Machine when event tracing is on
-        self.owner = -1      # owning node id (tracing only)
+        self.owner = -1      # owning node id (tracing and checking)
+        self.dirty = None    # the invariant checker's dirty-node set
 
     def __len__(self) -> int:
         return len(self.order)
@@ -69,6 +71,8 @@ class WriteBuffer:
         self.inserted += 1
         if self.tracer is not None:
             self.tracer.emit("wb_add", self.owner, block=block, depth=len(self.order))
+        if self.dirty is not None:
+            self.dirty.add(self.owner)
         return True
 
     def head(self) -> Optional[int]:
@@ -79,4 +83,6 @@ class WriteBuffer:
         block = self.order.popleft()
         if self.tracer is not None:
             self.tracer.emit("wb_retire", self.owner, block=block, depth=len(self.order))
+        if self.dirty is not None:
+            self.dirty.add(self.owner)
         return self.words.pop(block)

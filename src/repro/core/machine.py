@@ -219,8 +219,7 @@ class Machine:
                 self.checker = InvariantChecker(
                     self, tracer=self.tracer, level=check_level
                 )
-                for node in self.nodes:
-                    node.checker = self.checker
+                self._attach_checker(self.checker)
                 if check_level == "event":
                     self.sim.post_event_hook = self.checker.on_event
 
@@ -238,6 +237,23 @@ class Machine:
             if node.cbuf is not None:
                 node.cbuf.tracer = tracer
                 node.cbuf.owner = node.id
+
+    def _attach_checker(self, checker) -> None:
+        """Point every mutation path at the checker's dirty sets.
+
+        Residency is marked only under tardis, the one protocol whose
+        mid-run invariants (lease table == cache residency) read it."""
+        tardis = self.protocol.timestamp_coherence
+        for node in self.nodes:
+            node.checker = checker
+            node.directory.dirty = checker.dirty_entries
+            node.directory.home = node.id
+            if tardis:
+                node.cache.dirty = checker.dirty_leases
+            for buf in (node.wb, node.cbuf):
+                if buf is not None:
+                    buf.dirty = checker.dirty_nodes
+                    buf.owner = node.id
 
     # -- callbacks ---------------------------------------------------------------
 

@@ -50,6 +50,7 @@ class Node:
         "fill_reply_pending",
         "fwd_deferred",
         "wb_fetching",
+        "local_evicts",
         "wt_drain_busy",
         "wt_inflight",
         "wt_waiters",
@@ -120,6 +121,11 @@ class Node:
         self.fwd_deferred = {}
         # Lazy protocols: write-buffer entries with an outstanding fetch.
         self.wb_fetching: Set[int] = set()
+        # Lazy protocols: eviction notices sent to this node's own home
+        # slice and not yet handled (block -> delivery time).  A later
+        # request for the block is held behind its notice (see
+        # lrc.LRCProtocol._local_hold).
+        self.local_evicts = {}
         # Lazy protocols: number of background coalescing-buffer flushes
         # currently in flight.
         self.wt_drain_busy = 0
@@ -146,11 +152,15 @@ class Node:
         self.out_count += 1
         if self.tracer is not None:
             self.tracer.emit("txn_start", self.id, out=self.out_count)
+        if self.checker is not None:
+            self.checker.dirty_nodes.add(self.id)
 
     def txn_done(self, t: int) -> None:
         self.out_count -= 1
         if self.tracer is not None:
             self.tracer.emit("txn_done", self.id, t=t, out=self.out_count)
+        if self.checker is not None:
+            self.checker.dirty_nodes.add(self.id)
         if self.out_count < 0:
             raise RuntimeError(f"node {self.id}: negative outstanding count")
         if self.out_count == 0:

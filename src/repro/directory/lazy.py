@@ -49,18 +49,21 @@ class LazyWriteOutcome:
 class LazyDirectory:
     """Directory slice for one home node under the lazy protocols."""
 
-    __slots__ = ("entries", "tracer", "home")
+    __slots__ = ("entries", "tracer", "home", "dirty")
 
     def __init__(self) -> None:
         self.entries: Dict[int, LazyEntry] = {}
         self.tracer = None  # set by Machine when event tracing is on
-        self.home = -1      # owning home node id (tracing only)
+        self.home = -1      # owning home node id (tracing and checking)
+        self.dirty = None   # the invariant checker's (home, block) entry set
 
     def entry(self, block: int) -> LazyEntry:
         e = self.entries.get(block)
         if e is None:
             e = LazyEntry()
             self.entries[block] = e
+        if self.dirty is not None:
+            self.dirty.add((self.home, block))
         return e
 
     def state_of(self, block: int) -> int:
@@ -181,6 +184,8 @@ class LazyDirectory:
             self.tracer.emit(
                 "dir_remove", self.home, block=block, frm=old, to=st, actor=node
             )
+        if self.dirty is not None:
+            self.dirty.add((self.home, block))
         if st == UNCACHED and e.pending_acks == 0 and not e.pending_requesters:
             del self.entries[block]
         return st

@@ -38,18 +38,21 @@ class MSIWriteOutcome:
 class MSIDirectory:
     """Directory slice for one home node under SC / eager RC."""
 
-    __slots__ = ("entries", "tracer", "home")
+    __slots__ = ("entries", "tracer", "home", "dirty")
 
     def __init__(self) -> None:
         self.entries: Dict[int, MSIEntry] = {}
         self.tracer = None  # set by Machine when event tracing is on
-        self.home = -1      # owning home node id (tracing only)
+        self.home = -1      # owning home node id (tracing and checking)
+        self.dirty = None   # the invariant checker's (home, block) entry set
 
     def entry(self, block: int) -> MSIEntry:
         e = self.entries.get(block)
         if e is None:
             e = MSIEntry()
             self.entries[block] = e
+        if self.dirty is not None:
+            self.dirty.add((self.home, block))
         return e
 
     def state_of(self, block: int) -> int:
@@ -134,6 +137,8 @@ class MSIDirectory:
                 "dir_remove", self.home, block=block, frm=old, to=e.state,
                 actor=node, dirty=dirty,
             )
+        if self.dirty is not None:
+            self.dirty.add((self.home, block))
         if e.state == UNCACHED:
             del self.entries[block]
         return self.state_of(block)

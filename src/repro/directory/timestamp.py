@@ -38,18 +38,21 @@ class TardisEntry:
 class TardisDirectory:
     """Directory slice for one home node under the tardis protocol."""
 
-    __slots__ = ("entries", "tracer", "home")
+    __slots__ = ("entries", "tracer", "home", "dirty")
 
     def __init__(self) -> None:
         self.entries: Dict[int, TardisEntry] = {}
         self.tracer = None  # set by Machine when event tracing is on
-        self.home = -1      # owning home node id (tracing only)
+        self.home = -1      # owning home node id (tracing and checking)
+        self.dirty = None   # the invariant checker's (home, block) entry set
 
     def entry(self, block: int) -> TardisEntry:
         e = self.entries.get(block)
         if e is None:
             e = TardisEntry()
             self.entries[block] = e
+        if self.dirty is not None:
+            self.dirty.add((self.home, block))
         return e
 
     # -- request processing ---------------------------------------------------

@@ -69,7 +69,7 @@ class LRCProtocol(Protocol):
             node.id,
             self.home_of(block),
             MsgType.READ_REQ,
-            t,
+            self._local_hold(node, t, block),
             self._h_read_req,
             block,
             node.id,
@@ -123,12 +123,26 @@ class LRCProtocol(Protocol):
             node.id,
             self.home_of(block),
             MsgType.WRITE_REQ,
-            t,
+            self._local_hold(node, t, block),
             self._h_write_req,
             block,
             node.id,
             False,
         )
+
+    def _local_hold(self, node, t: int, block: int) -> int:
+        """Send time of a fetch for ``block`` that must not overtake the
+        node's own eviction notice for it.
+
+        A remote fetch rides the same control channel as the notice and
+        arrives after it.  A local message is handled at its send time,
+        and an eviction notice goes out at the fill's bus time, which can
+        lie after a later miss's send time: the home would register the
+        re-fetch, then drop the sharer the stale notice names, leaving
+        the refilled line unlisted.  Such a fetch waits for the notice.
+        """
+        held = node.local_evicts.get(block)
+        return held if held is not None and held > t else t
 
     def _send_write_notice(self, node, t: int, block: int, has_copy: bool) -> None:
         node.txn_start()
@@ -215,6 +229,9 @@ class LRCProtocol(Protocol):
         node.txn_done(t)
         if background:
             node.wt_drain_busy -= 1
+            if node.checker is not None:
+                # txn_done may have fired a release (and its scan) first.
+                node.checker.dirty_nodes.add(node.id)
         left = node.wt_inflight[block] - 1
         if left:
             node.wt_inflight[block] = left
@@ -284,6 +301,8 @@ class LRCProtocol(Protocol):
 
     def _h_relinquish(self, t: int, block: int, src: int) -> None:
         home = self.nodes[self.home_of(block)]
+        if src == home.id and home.local_evicts.get(block) == t:
+            del home.local_evicts[block]
         home.pp.reserve(t, self.cfg.notice_cost)
         home.directory.remove(block, src)
 
@@ -487,9 +506,12 @@ class LRCProtocol(Protocol):
             self._flush_words(node, t, vblock, words)
         # No need to remember notices for lines no longer cached.
         node.pending_inval.discard(vblock)
+        home_id = self.home_of(vblock)
+        if home_id == node.id:
+            node.local_evicts[vblock] = t
         self.fabric.send(
             node.id,
-            self.home_of(vblock),
+            home_id,
             MsgType.EVICT_NOTICE,
             t,
             self._h_relinquish,

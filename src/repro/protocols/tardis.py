@@ -152,6 +152,8 @@ class TardisProtocol(LRCProtocol):
     def _apply_sync_ts(self, node, ts: int) -> None:
         if ts > node.pts:
             node.pts = ts
+            if node.checker is not None:
+                node.checker.dirty_nodes.add(node.id)
 
     def _pre_release(self, node, t: int, cont) -> None:
         for block, words in node.cbuf.drain():
@@ -203,7 +205,7 @@ class TardisProtocol(LRCProtocol):
         node = self.nodes[src]
         if wts > node.pts:
             node.pts = wts
-        node.txn_done(t)
+        node.txn_done(t)  # marks the node for the checker
 
     def _process_pending_invals(self, node, t: int) -> int:
         """Self-invalidate expired leases (Tardis 2.0 relaxed mode).
@@ -218,11 +220,14 @@ class TardisProtocol(LRCProtocol):
             return t
         expired.sort()
         obs = self.machine.classifier
+        checker = node.checker
         pp = node.pp
         cost = self.cfg.notice_cost
         for block in expired:
             t = pp.reserve(t, cost)
             del node.ts_lease[block]
+            if checker is not None:
+                checker.dirty_leases.add((node.id, block))
             if node.cache.invalidate(block):
                 node.stats.acquire_invalidations += 1
                 self.stats.acquire_invalidations += 1
@@ -275,6 +280,9 @@ class TardisProtocol(LRCProtocol):
         if wts > node.pts:
             node.pts = wts
         node.ts_lease[block] = rts
+        if node.checker is not None:
+            node.checker.dirty_nodes.add(node.id)
+            node.checker.dirty_leases.add((node.id, block))
         vm = self.machine.valmodel
         if vm is not None:
             vm.fill(requester, block, data)
@@ -299,5 +307,7 @@ class TardisProtocol(LRCProtocol):
         if words:
             self._flush_words(node, t, vblock, words)
         node.ts_lease.pop(vblock, None)
+        if node.checker is not None:
+            node.checker.dirty_leases.add((node.id, vblock))
         # Silent replacement: nothing to tell a home that tracks no
         # sharers; ts_dirty keeps the bump obligation until the release.

@@ -59,7 +59,6 @@ def run_scenario(
     scenario: Scenario,
     protocols: Optional[Sequence[str]] = None,
     n_procs: Optional[int] = None,
-    check_invariants: bool = False,
     store=_UNSET,
     engine: Optional[str] = None,
     progress=None,
@@ -67,6 +66,8 @@ def run_scenario(
 ) -> Dict[str, Any]:
     """Run one scenario; return (and persist) its summary artifact.
 
+    Every cell runs with the invariant checker on; a violation is a
+    simulator defect and is recorded as the cell's failure.
     ``protocols`` restricts the scenario's sweep; ``n_procs`` overrides
     the document's machine size (CI uses this to shrink smokes).
     ``store`` defaults to the process-wide store (pass ``None`` to force
@@ -98,9 +99,7 @@ def run_scenario(
             if progress is not None:
                 progress(f"  {scenario.name}: {proto}: journaled, skipping")
             continue
-        spec = scenario.spec_for(
-            proto, n_procs=n_procs, check_invariants=check_invariants
-        )
+        spec = scenario.spec_for(proto, n_procs=n_procs, check_invariants=True)
         if progress is not None:
             progress(f"  {scenario.name}: {spec.label()}")
         if journal is not None:

@@ -15,8 +15,20 @@ Checkpoints (``level``):
 * ``"sync"``  — additionally at every release-continuation firing and
   after every acquire-side invalidation pass (the protocol's commit
   points) — the default;
-* ``"event"`` — additionally a full scan after *every* simulator event
-  (paranoid mode for pinpointing the first bad transition; slow).
+* ``"event"`` — additionally a scan after *every* simulator event
+  (paranoid mode for pinpointing the first bad transition).
+
+Mid-run scans are incremental.  The mutation paths mark what they
+change — directory entries (``entry()``, ``remove()``, ``evict()``),
+cache residency (``install``/``invalidate``), the write and coalescing
+buffers, a node's transaction count, and tardis's lease table and
+clock — into dirty sets held here, through one ``dirty``/``checker``
+slot per component that is ``None`` when checking is off.  :meth:`scan`
+checks only what is marked and clears the marks, so a sync point costs
+what changed since the last one, not the size of the machine.  If a
+marked component violates an invariant, the full :meth:`sweep` runs and
+raises, so the message is the one a whole-machine scan reports first.
+:meth:`end_of_run` always sweeps the whole machine.
 
 Invariants checked mid-run (must hold at any instant):
 
@@ -56,7 +68,7 @@ At end of run, additionally:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional, Set, Tuple
 
 from repro.cache.state import INVALID, RO, RW
 from repro.directory.lazy import LazyDirectory
@@ -98,6 +110,13 @@ class InvariantChecker:
         self.level = level
         self.checks_run = 0
         self._last_pts = {}  # tardis: node id -> last observed clock
+        # What changed since the last scan, marked by the mutation paths
+        # (see Machine._attach_checker): nodes whose buffers, transaction
+        # count or clock changed; (home, block) directory entries; and
+        # (node, block) residency/lease pairs (tardis only).
+        self.dirty_nodes: Set[int] = set()
+        self.dirty_entries: Set[Tuple[int, int]] = set()
+        self.dirty_leases: Set[Tuple[int, int]] = set()
 
     # -- failure path ----------------------------------------------------------
 
@@ -167,134 +186,174 @@ class InvariantChecker:
     # -- structural scan (valid at any instant) ----------------------------------
 
     def scan(self) -> None:
-        """Check every invariant that must hold between any two events."""
+        """Check the invariants of everything marked since the last scan."""
         self.checks_run += 1
+        nodes = self.machine.nodes
         n = self.machine.config.n_procs
-        for node in self.machine.nodes:
-            if node.out_count < 0:
-                self._fail(node.id, f"node {node.id}: negative out_count {node.out_count}")
-            self._check_buffer(node.id, node.wb, "write buffer")
-            self._check_buffer(node.id, node.cbuf, "coalescing buffer")
-            if node.wt_drain_busy < 0:
-                self._fail(
-                    node.id,
-                    f"node {node.id}: negative background-flush count "
-                    f"{node.wt_drain_busy}",
-                )
-            for block, entry in node.directory.entries.items():
-                if isinstance(entry, LazyEntry):
-                    self._check_lazy_entry(node.id, block, entry, n)
-                elif isinstance(entry, TardisEntry):
-                    self._check_tardis_entry(node.id, block, entry)
-                else:
-                    self._check_msi_entry(node.id, block, entry, n)
-            if self.machine.protocol.timestamp_coherence:
-                self._check_tardis_node(node)
+        tardis = self.machine.protocol.timestamp_coherence
+        for nid in self.dirty_nodes:
+            node = nodes[nid]
+            if self._node_problem(node) or (tardis and self._pts_problem(node)):
+                return self._sweep_after(nid)
+        for home, block in self.dirty_entries:
+            e = nodes[home].directory.entries.get(block)
+            if e is not None and self._entry_problem(home, block, e, n):
+                return self._sweep_after(home)
+        for nid, block in self.dirty_leases:
+            node = nodes[nid]
+            if (node.cache.lookup(block) != INVALID) != (block in node.ts_lease):
+                return self._sweep_after(nid)
+        self._clear_dirty()
 
-    def _check_buffer(self, node_id: int, buf, what: str) -> None:
+    def sweep(self) -> None:
+        """Check every invariant that must hold between any two events,
+        on every node, buffer and directory entry of the machine."""
+        n = self.machine.config.n_procs
+        tardis = self.machine.protocol.timestamp_coherence
+        for node in self.machine.nodes:
+            problem = self._node_problem(node)
+            if problem is None:
+                for block, entry in node.directory.entries.items():
+                    problem = self._entry_problem(node.id, block, entry, n)
+                    if problem is not None:
+                        break
+            if problem is None and tardis:
+                problem = self._pts_problem(node) or self._lease_problem(node)
+            if problem is not None:
+                self._fail(node.id, problem)
+        self._clear_dirty()
+
+    def _sweep_after(self, node_id: int) -> None:
+        """A marked component is broken: report what the full sweep
+        reports first.  The marks stay, so a later scan re-checks them."""
+        self.sweep()
+        self._fail(node_id, f"node {node_id}: incremental scan and full sweep disagree")
+
+    def _clear_dirty(self) -> None:
+        self.dirty_nodes.clear()
+        self.dirty_entries.clear()
+        self.dirty_leases.clear()
+
+    def _node_problem(self, node) -> Optional[str]:
+        if node.out_count < 0:
+            return f"node {node.id}: negative out_count {node.out_count}"
+        problem = self._buffer_problem(node.id, node.wb, "write buffer")
+        if problem is None:
+            problem = self._buffer_problem(node.id, node.cbuf, "coalescing buffer")
+        if problem is None and node.wt_drain_busy < 0:
+            problem = (
+                f"node {node.id}: negative background-flush count "
+                f"{node.wt_drain_busy}"
+            )
+        return problem
+
+    def _buffer_problem(self, node_id: int, buf, what: str) -> Optional[str]:
         if buf is None:
-            return
+            return None
         if len(buf.order) > buf.capacity:
-            self._fail(
-                node_id,
+            return (
                 f"node {node_id}: {what} over capacity "
-                f"({len(buf.order)} > {buf.capacity})",
+                f"({len(buf.order)} > {buf.capacity})"
             )
         if set(buf.order) != set(buf.words):
-            self._fail(
-                node_id,
+            return (
                 f"node {node_id}: {what} FIFO order and word map disagree "
-                f"(order={list(buf.order)}, words={sorted(buf.words)})",
+                f"(order={list(buf.order)}, words={sorted(buf.words)})"
             )
+        return None
 
-    def _check_lazy_entry(self, home: int, block: int, e: LazyEntry, n: int) -> None:
+    def _entry_problem(self, home: int, block: int, e, n: int) -> Optional[str]:
+        if isinstance(e, LazyEntry):
+            return self._lazy_entry_problem(home, block, e, n)
+        if isinstance(e, TardisEntry):
+            return self._tardis_entry_problem(home, block, e)
+        return self._msi_entry_problem(home, block, e, n)
+
+    def _lazy_entry_problem(self, home: int, block: int, e: LazyEntry, n: int) -> Optional[str]:
         if not e.writers <= e.sharers:
-            self._fail(
-                home,
+            return (
                 f"home {home}, block {block:#x}: writers {sorted(e.writers)} "
-                f"not a subset of sharers {sorted(e.sharers)}",
+                f"not a subset of sharers {sorted(e.sharers)}"
             )
         if not all(0 <= s < n for s in e.sharers):
-            self._fail(
-                home,
+            return (
                 f"home {home}, block {block:#x}: out-of-range sharer in "
-                f"{sorted(e.sharers)}",
+                f"{sorted(e.sharers)}"
             )
         derived = _derive_lazy_state(e)
         if e.state != derived:
-            self._fail(
-                home,
+            return (
                 f"home {home}, block {block:#x}: state "
                 f"{dir_state_name(e.state)} does not match sharers/writers "
                 f"(sharers={sorted(e.sharers)}, writers={sorted(e.writers)} "
-                f"imply {dir_state_name(derived)})",
+                f"imply {dir_state_name(derived)})"
             )
         if e.pending_acks < 0:
-            self._fail(
-                home,
+            return (
                 f"home {home}, block {block:#x}: negative pending_acks "
-                f"{e.pending_acks}",
+                f"{e.pending_acks}"
             )
         if e.pending_requesters and e.pending_acks == 0:
-            self._fail(
-                home,
+            return (
                 f"home {home}, block {block:#x}: requesters "
                 f"{[r for r, _ in e.pending_requesters]} waiting on a "
-                f"closed ack collection",
+                f"closed ack collection"
             )
+        return None
 
-    def _check_tardis_entry(self, home: int, block: int, e: TardisEntry) -> None:
+    def _tardis_entry_problem(self, home: int, block: int, e: TardisEntry) -> Optional[str]:
         if not 0 <= e.wts <= e.rts:
-            self._fail(
-                home,
+            return (
                 f"home {home}, block {block:#x}: timestamp order violated "
-                f"(wts={e.wts}, rts={e.rts})",
+                f"(wts={e.wts}, rts={e.rts})"
             )
+        return None
 
-    def _check_tardis_node(self, node) -> None:
+    def _pts_problem(self, node) -> Optional[str]:
         last = self._last_pts.get(node.id, 0)
         if node.pts < last:
-            self._fail(
-                node.id,
+            return (
                 f"node {node.id}: logical clock moved backwards "
-                f"({last} -> {node.pts})",
+                f"({last} -> {node.pts})"
             )
         self._last_pts[node.id] = node.pts
+        return None
+
+    def _lease_problem(self, node) -> Optional[str]:
         resident = set(node.cache.resident_blocks())
         leased = set(node.ts_lease)
         if resident != leased:
-            self._fail(
-                node.id,
+            return (
                 f"node {node.id}: lease table disagrees with cache residency "
                 f"(unleased resident={sorted(resident - leased)[:8]}, "
-                f"leased absent={sorted(leased - resident)[:8]})",
+                f"leased absent={sorted(leased - resident)[:8]})"
             )
+        return None
 
-    def _check_msi_entry(self, home: int, block: int, e: MSIEntry, n: int) -> None:
+    def _msi_entry_problem(self, home: int, block: int, e: MSIEntry, n: int) -> Optional[str]:
         if (e.state == DIRTY) != (e.owner is not None):
-            self._fail(
-                home,
+            return (
                 f"home {home}, block {block:#x}: state "
-                f"{dir_state_name(e.state)} inconsistent with owner {e.owner}",
+                f"{dir_state_name(e.state)} inconsistent with owner {e.owner}"
             )
         if e.owner is not None and e.owner not in e.sharers:
-            self._fail(
-                home,
+            return (
                 f"home {home}, block {block:#x}: owner {e.owner} missing "
-                f"from sharers {sorted(e.sharers)}",
+                f"from sharers {sorted(e.sharers)}"
             )
         if not all(0 <= s < n for s in e.sharers):
-            self._fail(
-                home,
+            return (
                 f"home {home}, block {block:#x}: out-of-range sharer in "
-                f"{sorted(e.sharers)}",
+                f"{sorted(e.sharers)}"
             )
+        return None
 
     # -- end of run --------------------------------------------------------------
 
     def end_of_run(self) -> None:
         """Full sweep once the event queue has drained."""
         self.scan()
+        self.sweep()
         m = self.machine
         for node in m.nodes:
             nid = node.id
@@ -395,7 +454,7 @@ class InvariantChecker:
                 e = home.directory.entries.get(block)
                 if isinstance(home.directory, TardisDirectory):
                     # Tardis homes track no sharers; the per-node story is
-                    # the lease table, which scan() already reconciled with
+                    # the lease table, which sweep() already reconciled with
                     # residency.  A resident block must have been fetched,
                     # so its home entry exists with a granted lease.
                     if e is None or e.rts == 0:

@@ -174,6 +174,33 @@ class TestRunOne:
         )
         assert fails == []
 
+    def test_local_refetch_waits_for_own_eviction_notice(self, monkeypatch):
+        """Regression: program 5002 under lrc-ext with faults.  Node 0
+        evicted block 0x22, which is homed at node 0, and fetched it
+        again.  Local messages are handled at their send time, and the
+        eviction notice went out at the fill's later bus time, so the
+        home handled the re-fetch first and then dropped node 0 from the
+        sharers of the refilled line ("node 0 caches block 0x22 (RO) but
+        home 0 does not list it as a sharer")."""
+        from repro.protocols.lrc import LRCProtocol
+
+        held = []
+        hold = LRCProtocol._local_hold
+
+        def spy(self, node, t, block):
+            out = hold(self, node, t, block)
+            if out != t:
+                held.append((node.id, block))
+            return out
+
+        monkeypatch.setattr(LRCProtocol, "_local_hold", spy)
+        fails = fuzz_iteration(
+            2, 5002, 8, 120, ["lrc-ext"], do_minimize=False,
+            faults="drop=0.02,dup=0.02,delay=0.05",
+        )
+        assert fails == []
+        assert (0, 0x22) in held
+
     def test_broken_release_caught(self, monkeypatch):
         monkeypatch.setitem(PROTOCOLS, BrokenReleaseLRC.name, BrokenReleaseLRC)
         spec = generate(0, 4, n_ops=40)

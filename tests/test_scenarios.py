@@ -171,8 +171,7 @@ class TestRunnerAndCli:
     def test_runner_persists_summary_artifact(self, tmp_path):
         store = ResultStore(tmp_path)
         summary = run_scenario(
-            self.small(), protocols=["lrc", "sc"],
-            check_invariants=True, store=store,
+            self.small(), protocols=["lrc", "sc"], store=store,
         )
         assert summary["ok"]
         assert summary["protocols"] == ["lrc", "sc"]
@@ -225,7 +224,7 @@ class TestRunnerAndCli:
         rc = main([
             "scenarios", "run", str(path),
             "--protocols", "lrc", "tardis",
-            "--check-invariants", "--store-dir", str(tmp_path / "store"),
+            "--store-dir", str(tmp_path / "store"),
         ])
         assert rc == 0
         out = capsys.readouterr().out
