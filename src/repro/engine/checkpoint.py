@@ -47,8 +47,10 @@ from pathlib import Path
 from typing import Optional
 
 #: Bumped on any incompatible change to what a checkpoint captures or
-#: how restore re-arms transient state.
-CHECKPOINT_VERSION = 1
+#: how restore re-arms transient state.  2: the fabrics hold the
+#: simulator's bound scheduling methods and precomputed constants, and
+#: the fault injector its precomputed probabilities.
+CHECKPOINT_VERSION = 2
 
 _MAGIC = "repro-checkpoint"
 

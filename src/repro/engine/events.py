@@ -25,6 +25,17 @@ At equal timestamps the local lane fires before the remote lane.  Heap
 entries always carry the full ``(time, lane, k1, k2, seq)`` key before
 the callback, so tuple comparison can never fall through to comparing
 callbacks (the bug class the explicit-seq tie-break exists to prevent).
+
+Entry layout — the one definition of the canonical key, which the serial
+:class:`~repro.engine.simulator.Simulator` also writes and reads straight
+on :attr:`EventQueue._heap` (its per-event hot path), held equal to
+:meth:`EventQueue.push`/:meth:`EventQueue.push_remote` by
+``tests/test_engine.py``::
+
+    local:  (time, LANE_LOCAL,  seq, 0,       seq, callback, args)
+    remote: (time, LANE_REMOTE, src, src_seq, seq, callback, args)
+
+``seq`` is the queue's monotonic insertion counter (``EventQueue._seq``).
 """
 
 from __future__ import annotations

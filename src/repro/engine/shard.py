@@ -79,8 +79,8 @@ def shard_map(n_procs: int, shards: int) -> List[int]:
 class ShardedSimulator(Simulator):
     """Windowed multi-queue drop-in for :class:`Simulator`.
 
-    Exposes the same scheduling surface (``at``/``after``/
-    ``deliver_remote``/``run``/``now``/``events_processed``); adds
+    Exposes the same scheduling surface (``at``/``deliver_remote``/
+    ``run``/``now``/``events_processed``); adds
     ``barrier_hook``, called as ``barrier_hook(t)`` after every epoch
     (the stall watchdog's shard-aware check point).
     """
@@ -128,9 +128,6 @@ class ShardedSimulator(Simulator):
                 f"event scheduled in the past: {time} < now={self.now}"
             )
         self.queues[self._cur].push(time, callback, *args)
-
-    def after(self, delay: int, callback: Callable, *args: Any) -> None:
-        self.queues[self._cur].push(self.now + delay, callback, *args)
 
     def deliver_remote(
         self,

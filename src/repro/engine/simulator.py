@@ -11,13 +11,21 @@ inserts them with the canonical remote-lane key ``(time, src, src_seq)``
 (:mod:`repro.engine.shard`) overrides only that routing decision — the
 per-event execution discipline is this class's, which is what makes
 sharded runs bit-identical to serial ones.
+
+The serial loop is the per-event hot path, so :meth:`at`,
+:meth:`deliver_remote` and :meth:`run` work on the queue's heap
+directly: they push and pop exactly the entries
+:meth:`EventQueue.push`/:meth:`EventQueue.push_remote`/
+:meth:`EventQueue.pop` do (layout in :mod:`repro.engine.events`),
+without a queue method call per event.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable
 
-from repro.engine.events import EventQueue
+from repro.engine.events import LANE_LOCAL, LANE_REMOTE, EventQueue
 
 
 class DeadlockError(RuntimeError):
@@ -77,11 +85,10 @@ class Simulator:
             raise ValueError(
                 f"event scheduled in the past: {time} < now={self.now}"
             )
-        self.queue.push(time, callback, *args)
-
-    def after(self, delay: int, callback: Callable, *args: Any) -> None:
-        """Schedule ``callback(*args)`` ``delay`` cycles from now."""
-        self.queue.push(self.now + delay, callback, *args)
+        q = self.queue
+        seq = q._seq
+        q._seq = seq + 1
+        heappush(q._heap, (time, LANE_LOCAL, seq, 0, seq, callback, args))
 
     def deliver_remote(
         self,
@@ -98,7 +105,14 @@ class Simulator:
         ``dst`` routes the event to its owning shard in sharded mode; the
         serial simulator has a single queue and ignores it.
         """
-        self.queue.push_remote(time, src, src_seq, callback, args)
+        if time < 0:
+            raise ValueError("event time must be non-negative")
+        q = self.queue
+        seq = q._seq
+        q._seq = seq + 1
+        heappush(
+            q._heap, (time, LANE_REMOTE, src, src_seq, seq, callback, args)
+        )
 
     # -- checkpointing (engine.checkpoint; DESIGN.md §15) ------------------------
 
@@ -129,11 +143,11 @@ class Simulator:
 
     def run(self) -> int:
         """Drain the event queue; return the final simulated time."""
-        queue = self.queue
+        heap = self.queue._heap
         hook = self.post_event_hook
         max_cycles = self.max_cycles
-        while queue:
-            time, callback, args = queue.pop()
+        while heap:
+            time, _lane, _k1, _k2, _seq, callback, args = heappop(heap)
             if time > max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded max_cycles={self.max_cycles}"

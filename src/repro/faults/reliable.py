@@ -56,11 +56,14 @@ _DUP_GAP = 1
 class _Pending:
     """One unacked logical message at the sender."""
 
-    __slots__ = ("mtype", "size", "handler", "args", "attempts")
+    __slots__ = ("mtype", "size", "occ", "handler", "args", "attempts")
 
-    def __init__(self, mtype: MsgType, size: int, handler: Callable, args: tuple):
+    def __init__(
+        self, mtype: MsgType, size: int, occ: int, handler: Callable, args: tuple
+    ):
         self.mtype = mtype
         self.size = size
+        self.occ = occ  # NIC occupancy at either endpoint, per transmission
         self.handler = handler
         self.args = args
         self.attempts = 0  # completed transmissions beyond the first
@@ -98,9 +101,7 @@ class ReliableFabric(Fabric):
         # serialization at both endpoints), unless the plan pins one.
         w, h = config.mesh_dims
         max_hops = max(1, (w - 1) + (h - 1))
-        base_rtt = 2 * (
-            config.hop_latency * max_hops + config.nic_occupancy(config.line_size)
-        )
+        base_rtt = 2 * (config.hop_latency * max_hops + self._occ_line)
         self.rto = plan.rto if plan.rto > 0 else 4 * base_rtt
         self.max_retries = plan.max_retries
         self._send_ch: Dict[Tuple[int, int, str], _SendChannel] = {}
@@ -127,28 +128,36 @@ class ReliableFabric(Fabric):
         """
         if size < 0:
             size = self._line if mtype in DATA_BEARING else 0
+        # Logical traffic is recorded exactly once, here; retransmits
+        # and acks are accounted separately so bandwidth figures keep
+        # meaning "messages the protocol asked for".
+        stats = self.stats
+        stats.count[mtype] += 1
+        stats.bytes[mtype] += size
         if src == dst:
             # Local hand-off never crosses the network: no faults.
-            self.stats.record(mtype, size, 0)
             if self.tracer is not None:
                 self.tracer.emit(
                     "msg", src, t=t, dst=dst, type=mtype.name, size=size,
                     arrival=t,
                 )
-            self.sim.at(t, handler, t, *args)
+            self._sim_at(t, handler, t, *args)
             return t
-        # Logical traffic is recorded exactly once, here; retransmits
-        # and acks are accounted separately so bandwidth figures keep
-        # meaning "messages the protocol asked for".
-        self.stats.record(mtype, size, self.mesh.hops(src, dst))
+        stats.total_hops += self._hops[src * self._n + dst]
         ch = "data" if size else "ctl"
         key = (src, dst, ch)
         sc = self._send_ch.get(key)
         if sc is None:
             sc = self._send_ch[key] = _SendChannel()
         seq = sc.next_seq
-        sc.next_seq += 1
-        entry = _Pending(mtype, size, handler, args)
+        sc.next_seq = seq + 1
+        if not size:
+            occ = self._occ_ctl
+        elif size == self._line:
+            occ = self._occ_line
+        else:
+            occ = self.config.nic_occupancy(size)
+        entry = _Pending(mtype, size, occ, handler, args)
         sc.pending[seq] = entry
         if self.tracer is not None:
             self.tracer.emit(
@@ -161,10 +170,6 @@ class ReliableFabric(Fabric):
 
     def _transmit(self, key: Tuple[int, int, str], seq: int, entry: _Pending, t: int) -> int:
         src, dst, ch = key
-        size = entry.size
-        cfg = self.config
-        occ = cfg.nic_occupancy(size)
-        hops = self.mesh.hops(src, dst)
         if entry.attempts:
             self.stats.retransmits += 1
             if self.tracer is not None:
@@ -172,9 +177,12 @@ class ReliableFabric(Fabric):
                     "fault", src, t=t, dst=dst, seq=seq, ch=ch,
                     what="retransmit", attempt=entry.attempts,
                 )
-        out = (self.nic_out if size else self.nic_out_ctl)[src]
-        start = out.enqueue(t, occ)
-        arrival = start + self._hop_lat * hops + (occ if size else 0)
+        occ = entry.occ
+        transit = self._hop_lat * self._hops[src * self._n + dst]
+        if entry.size:
+            arrival = self.nic_out[src].enqueue(t, occ) + transit + occ
+        else:
+            arrival = self.nic_out_ctl[src].enqueue(t, occ) + transit
         dec = self.injector.decide(src, dst, ch, t)
         if dec.drop:
             self.stats.drops_injected += 1
@@ -184,27 +192,27 @@ class ReliableFabric(Fabric):
                     type=entry.mtype.name,
                 )
         else:
-            if dec.extra:
+            extra = dec.extra
+            if extra:
                 self.stats.delays_injected += 1
             # Physical arrivals ride the canonical remote lane (keyed by
             # the sender's send counter), so receive-side processing
             # order is identical under any shard layout.
             sseq = self._sseq[src]
             self._sseq[src] = sseq + 1
-            self.sim.deliver_remote(
-                arrival + dec.extra, src, sseq, dst,
+            self._sim_remote(
+                arrival + extra, src, sseq, dst,
                 self._phys_arrive, key, seq, entry,
             )
             if dec.dup:
                 self.stats.dups_injected += 1
-                sseq = self._sseq[src]
-                self._sseq[src] = sseq + 1
-                self.sim.deliver_remote(
-                    arrival + dec.extra + _DUP_GAP, src, sseq, dst,
+                self._sseq[src] = sseq + 2
+                self._sim_remote(
+                    arrival + extra + _DUP_GAP, src, sseq + 1, dst,
                     self._phys_arrive, key, seq, entry,
                 )
         rto = self.rto << min(entry.attempts, _BACKOFF_CAP)
-        self.sim.at(t + rto, self._check_timeout, key, seq)
+        self._sim_at(t + rto, self._check_timeout, key, seq)
         return arrival
 
     def _check_timeout(self, key: Tuple[int, int, str], seq: int) -> None:
@@ -234,8 +242,14 @@ class ReliableFabric(Fabric):
         sc = self._send_ch.get(key)
         if sc is None:
             return
-        for seq in [s for s in sc.pending if s < upto]:
-            del sc.pending[seq]
+        # Sequence numbers enter ``pending`` in increasing order and
+        # leave only here, as a prefix: the acked ones are at the front.
+        pending = sc.pending
+        while pending:
+            seq = next(iter(pending))
+            if seq >= upto:
+                break
+            del pending[seq]
 
     # -- receiver side ---------------------------------------------------------
 
@@ -247,15 +261,13 @@ class ReliableFabric(Fabric):
         faults genuinely reorder (delay jitter), unlike fault-free
         traffic.
         """
-        _src, dst, _ch = key
-        occ = self.config.nic_occupancy(entry.size)
-        nic = (self.nic_in if entry.size else self.nic_in_ctl)[dst]
+        nic = (self.nic_in if entry.size else self.nic_in_ctl)[key[1]]
         now = self.sim.now
-        deliver = nic.enqueue(now, occ)
+        deliver = nic.enqueue(now, entry.occ)
         if deliver == now:
             self._deliver(key, seq, entry)
         else:
-            self.sim.at(deliver, self._deliver, key, seq, entry)
+            self._sim_at(deliver, self._deliver, key, seq, entry)
 
     def _deliver(self, key: Tuple[int, int, str], seq: int, entry: _Pending) -> None:
         rc = self._recv_ch.get(key)
@@ -271,7 +283,7 @@ class ReliableFabric(Fabric):
                     "fault", key[1], t=now, src=key[0], seq=seq, ch=key[2],
                     what="dup-drop",
                 )
-            self._send_ack(key, rc)
+            self._send_ack(key, rc.expected, now)
             return
         rc.stash[seq] = entry
         while rc.expected in rc.stash:
@@ -279,43 +291,42 @@ class ReliableFabric(Fabric):
             rc.expected += 1
             # Hand off to the protocol as its own event, preserving the
             # plain fabric's handler(deliver_time, *args) convention.
-            self.sim.at(now, e.handler, now, *e.args)
-        self._send_ack(key, rc)
+            self._sim_at(now, e.handler, now, *e.args)
+        self._send_ack(key, rc.expected, now)
 
-    def _send_ack(self, key: Tuple[int, int, str], rc: _RecvChannel) -> None:
+    def _send_ack(self, key: Tuple[int, int, str], upto: int, now: int) -> None:
         """Cumulative ack dst -> src; itself subject to drop/delay."""
         src, dst, _ch = key
-        now = self.sim.now
-        upto = rc.expected
-        cfg = self.config
-        occ = cfg.nic_occupancy(0)
-        hops = self.mesh.hops(dst, src)
-        self.stats.record(MsgType.RD_ACK, 0, hops)
-        start = self.nic_out_ctl[dst].enqueue(now, occ)
-        arrival = start + self._hop_lat * hops
+        hops = self._hops[dst * self._n + src]
+        stats = self.stats
+        stats.count[MsgType.RD_ACK] += 1
+        stats.bytes[MsgType.RD_ACK] += 0  # acks carry no payload; keep the key
+        stats.total_hops += hops
+        arrival = (
+            self.nic_out_ctl[dst].enqueue(now, self._occ_ctl)
+            + self._hop_lat * hops
+        )
         dec = self.injector.decide(dst, src, "ctl", now)
         if dec.drop:
-            self.stats.drops_injected += 1
+            stats.drops_injected += 1
             return
         # Duplicating an idempotent cumulative ack is pointless; only
         # loss and delay apply.
         if dec.extra:
-            self.stats.delays_injected += 1
+            stats.delays_injected += 1
         sseq = self._sseq[dst]
         self._sseq[dst] = sseq + 1
-        self.sim.deliver_remote(
+        self._sim_remote(
             arrival + dec.extra, dst, sseq, src, self._phys_ack, key, upto
         )
 
     def _phys_ack(self, key: Tuple[int, int, str], upto: int) -> None:
-        src = key[0]
-        occ = self.config.nic_occupancy(0)
         now = self.sim.now
-        deliver = self.nic_in_ctl[src].enqueue(now, occ)
+        deliver = self.nic_in_ctl[key[0]].enqueue(now, self._occ_ctl)
         if deliver == now:
             self._on_ack(key, upto)
         else:
-            self.sim.at(deliver, self._on_ack, key, upto)
+            self._sim_at(deliver, self._on_ack, key, upto)
 
     # -- introspection ---------------------------------------------------------
 

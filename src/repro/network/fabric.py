@@ -61,9 +61,19 @@ class Fabric:
         # Incremented in the sender's own (deterministic) execution order,
         # so the key never depends on cross-node event interleaving.
         self._sseq: List[int] = [0] * n
-        # Hot-path constants hoisted out of send().
+        # Per-message constants hoisted out of send(): transit per hop,
+        # NIC occupancies of control and line-sized messages (other
+        # sizes, e.g. partial coalescing flushes, ask the config), the
+        # shared hop table, and the simulator's scheduling entry points
+        # (bound methods, so a sharded simulator's overrides still route).
         self._hop_lat = config.hop_latency
         self._line = config.line_size
+        self._occ_ctl = config.nic_occupancy(0)
+        self._occ_line = config.nic_occupancy(config.line_size)
+        self._hops = self.mesh.hop_table
+        self._n = n
+        self._sim_at = sim.at
+        self._sim_remote = sim.deliver_remote
         # Event tracer (set by Machine when tracing is on).
         self.tracer = None
 
@@ -88,31 +98,36 @@ class Fabric:
         exact hand-off time additionally waits out receive-NIC
         contention, resolved at arrival.
         """
-        cfg = self.config
         if size < 0:
             size = self._line if mtype in DATA_BEARING else 0
+        stats = self.stats
+        stats.count[mtype] += 1
+        stats.bytes[mtype] += size
         if src == dst:
             # Local delivery: no network traversal, only the protocol
             # processor hand-off (modeled by the handler's own costs).
-            self.stats.record(mtype, size, 0)
             if self.tracer is not None:
                 self.tracer.emit(
                     "msg", src, t=t, dst=dst, type=mtype.name, size=size,
                     arrival=t,
                 )
-            self.sim.at(t, handler, t, *args)
+            self._sim_at(t, handler, t, *args)
             return t
-        occ = cfg.nic_occupancy(size)
-        hops = self.mesh.hops(src, dst)
+        hops = self._hops[src * self._n + dst]
+        stats.total_hops += hops
         if size:
+            if size == self._line:
+                occ = self._occ_line
+            else:
+                occ = self.config.nic_occupancy(size)
             start = self.nic_out[src].enqueue(t, occ)
             arrival = start + self._hop_lat * hops + occ
             nic_in = self.nic_in[dst]
         else:
+            occ = self._occ_ctl
             start = self.nic_out_ctl[src].enqueue(t, occ)
             arrival = start + self._hop_lat * hops
             nic_in = self.nic_in_ctl[dst]
-        self.stats.record(mtype, size, hops)
         if self.tracer is not None:
             self.tracer.emit(
                 "msg", src, t=t, dst=dst, type=mtype.name, size=size,
@@ -120,7 +135,7 @@ class Fabric:
             )
         sseq = self._sseq[src]
         self._sseq[src] = sseq + 1
-        self.sim.deliver_remote(
+        self._sim_remote(
             arrival, src, sseq, dst, self._arrive, nic_in, occ, handler, args
         )
         return arrival
@@ -139,7 +154,7 @@ class Fabric:
         if deliver == t:
             handler(t, *args)
         else:
-            self.sim.at(deliver, handler, deliver, *args)
+            self._sim_at(deliver, handler, deliver, *args)
 
     def utilization(self) -> dict:
         """Per-endpoint busy fractions at the current simulated time."""

@@ -73,11 +73,6 @@ class MessageStats:
         self.dups_injected: int = 0
         self.delays_injected: int = 0
 
-    def record(self, mtype: MsgType, size: int, hops: int) -> None:
-        self.count[mtype] += 1
-        self.bytes[mtype] += size
-        self.total_hops += hops
-
     @property
     def total_messages(self) -> int:
         return sum(self.count.values())

@@ -8,9 +8,37 @@ per-switch traffic census used by the network-utilization report.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from array import array
+from functools import lru_cache
+from typing import Iterator, Sequence, Tuple
 
 from repro.config import SystemConfig
+
+
+@lru_cache(maxsize=None)
+def hop_table(width: int, height: int) -> Sequence[int]:
+    """Row-major ``n x n`` hop counts of a ``width x height`` mesh.
+
+    Built once per mesh shape (a process runs few shapes) and shared by
+    every machine of that shape — a 1024-node table has a million
+    entries.  The table is immutable: ``bytes``, unless the mesh is so
+    elongated that a route exceeds 255 hops, then a tuple.
+    """
+    code = "B" if width + height - 2 < 256 else "I"
+    # shifted[sx][k]: hops from column sx to every column of a row k
+    # rows away; a source's table row is one such run per row.
+    shifted = [
+        [array(code, [abs(sx - dx) + k for dx in range(width)])
+         for k in range(height)]
+        for sx in range(width)
+    ]
+    table = array(code)
+    for sy in range(height):
+        for sx in range(width):
+            runs = shifted[sx]
+            for dy in range(height):
+                table += runs[abs(sy - dy)]
+    return table.tobytes() if code == "B" else tuple(table)
 
 
 class Mesh:
@@ -22,16 +50,10 @@ class Mesh:
         self.n = config.n_procs
         if self.width * self.height != self.n:
             raise ValueError("mesh dimensions do not cover all nodes")
-        # Precompute the full hop-count matrix once; it is read on every
-        # message send, so a flat list lookup beats recomputing Manhattan
-        # distance (guide: hoist work out of hot loops).
-        w = self.width
-        self._hops: List[int] = [0] * (self.n * self.n)
-        for s in range(self.n):
-            sx, sy = s % w, s // w
-            base = s * self.n
-            for d in range(self.n):
-                self._hops[base + d] = abs(sx - d % w) + abs(sy - d // w)
+        # The full hop-count matrix is read on every message send, so a
+        # flat table lookup beats recomputing Manhattan distance.  The
+        # fabric indexes it directly: ``hop_table[src * n + dst]``.
+        self.hop_table = hop_table(self.width, self.height)
 
     def coords(self, node: int) -> Tuple[int, int]:
         return node % self.width, node // self.width
@@ -40,7 +62,7 @@ class Mesh:
         return y * self.width + x
 
     def hops(self, src: int, dst: int) -> int:
-        return self._hops[src * self.n + dst]
+        return self.hop_table[src * self.n + dst]
 
     def route(self, src: int, dst: int) -> Iterator[int]:
         """Dimension-order (X then Y) route, yielding intermediate nodes.
@@ -61,5 +83,5 @@ class Mesh:
         """Mean hop count over all ordered pairs of distinct nodes."""
         if self.n == 1:
             return 0.0
-        total = sum(self._hops)
+        total = sum(self.hop_table)
         return total / (self.n * (self.n - 1))

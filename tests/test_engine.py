@@ -95,17 +95,6 @@ class TestSimulator:
         assert seen == [("b", 5), ("a", 10)]
         assert end == 10
 
-    def test_after_is_relative(self):
-        sim = Simulator()
-        times = []
-
-        def first():
-            sim.after(7, lambda: times.append(sim.now))
-
-        sim.at(3, first)
-        sim.run()
-        assert times == [10]
-
     def test_rejects_past_events(self):
         sim = Simulator()
         sim.at(10, lambda: sim.at(5, lambda: None))
@@ -119,7 +108,7 @@ class TestSimulator:
         def tick():
             count[0] += 1
             if count[0] < 100:
-                sim.after(1, tick)
+                sim.at(sim.now + 1, tick)
 
         sim.at(0, tick)
         assert sim.run() == 99
@@ -129,7 +118,7 @@ class TestSimulator:
         sim = Simulator(max_cycles=50)
 
         def forever():
-            sim.after(10, forever)
+            sim.at(sim.now + 10, forever)
 
         sim.at(0, forever)
         with pytest.raises(RuntimeError):
@@ -141,3 +130,41 @@ class TestSimulator:
             sim.at(i, lambda: None)
         sim.run()
         assert sim.events_processed == 5
+
+
+class TestSimulatorHeapEntries:
+    """The simulator pushes on its queue's heap directly; its entries
+    must be exactly the ones EventQueue's own methods build."""
+
+    def test_at_and_deliver_remote_match_event_queue(self):
+        sim = Simulator()
+        ref = EventQueue()
+        cb = lambda *a: None  # noqa: E731
+        for t in (5, 0, 5, 9):
+            sim.at(t, cb, t, "x")
+            ref.push(t, cb, t, "x")
+            sim.deliver_remote(t + 3, 2, t, 7, cb, "y")
+            ref.push_remote(t + 3, 2, t, cb, ("y",))
+        assert sim.queue._heap == ref._heap
+        assert sim.queue._seq == ref._seq
+
+    def test_run_pops_in_event_queue_order(self):
+        sim = Simulator()
+        ref = EventQueue()
+        seen, want = [], []
+        for i, t in enumerate((4, 1, 4, 4, 0, 9, 1)):
+            if i % 2:
+                sim.deliver_remote(t, i, 0, 0, lambda i=i: seen.append(i))
+                ref.push_remote(t, i, 0, want.append, (i,))
+            else:
+                sim.at(t, lambda i=i: seen.append(i))
+                ref.push(t, want.append, i)
+        sim.run()
+        while ref:
+            _, cb, args = ref.pop()
+            cb(*args)
+        assert seen == want
+
+    def test_deliver_remote_rejects_negative_time(self):
+        with pytest.raises(ValueError):
+            Simulator().deliver_remote(-1, 0, 0, 1, lambda: None)

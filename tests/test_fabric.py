@@ -33,6 +33,22 @@ class TestMesh:
                 bx, by = m.coords(b)
                 assert m.hops(a, b) == abs(ax - bx) + abs(ay - by)
 
+    @pytest.mark.parametrize("n", [12, 7, 257])  # 257: 1x257, > 255 hops
+    def test_hop_table_matches_manhattan_on_any_shape(self, n):
+        m = Mesh(SystemConfig(n_procs=n))
+        for a in range(n):
+            ax, ay = m.coords(a)
+            for b in range(n):
+                bx, by = m.coords(b)
+                assert m.hops(a, b) == abs(ax - bx) + abs(ay - by)
+
+    def test_hop_table_shared_per_shape_and_immutable(self):
+        a, b = Mesh(SystemConfig(n_procs=64)), Mesh(SystemConfig(n_procs=64))
+        assert a.hop_table is b.hop_table
+        assert isinstance(a.hop_table, bytes)
+        assert isinstance(Mesh(SystemConfig(n_procs=257)).hop_table, tuple)
+        assert Mesh(SystemConfig(n_procs=16)).hop_table is not a.hop_table
+
     def test_route_endpoints_and_length(self):
         m = Mesh(SystemConfig(n_procs=64))
         path = list(m.route(0, 63))
